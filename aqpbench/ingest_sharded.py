@@ -222,12 +222,8 @@ def run(args, started: float, tracer) -> None:
             setup=tracing.summarize(builder_spans),
             qps_ratio=qps[1] / qps[0],
         )
-    stats = window_stats[-1]
-    print(
-        f"mechanism: shard_dispatches={stats['parallel_exec_dispatches']} "
-        f"fallbacks={stats['parallel_exec_fallbacks']} "
-        f"publications={stats['shard_publications']} appends={rounds_per_window[-1]}"
-    )
+    for stats, appends in zip(window_stats, rounds_per_window):
+        problems += report.mechanism_problems("ingest_sharded", stats, appends)
     for problem in problems:
         print(f"check failed: {problem}")
     report.emit(not problems, attempted, failed, metrics, tracer is not None)

@@ -5,7 +5,10 @@ through ``repro.connectors``) and runs each statement's own text there, so
 it shares no parser, evaluator or NULL handling with the program.  Answers
 depend only on the data, the statement and, for appends, the batches before
 it; they are cached per seed under ``aqpbench/.cache`` and any missing ones
-are computed by two worker processes.
+are computed by two worker processes.  The database file and the answers
+are keyed on a digest of the generated arrays, and answers after appends
+also on a digest of the batch generator and its parameters, so a change to
+the generator or the batch stream never meets stale truth.
 
 Remake the answers of one run ahead of time with::
 
@@ -60,8 +63,37 @@ def _generate(dataset: str, scale: float) -> dict:
     return instacart.generate(scale_factor=scale, seed=common.DATA_SEED).tables
 
 
+_DIGESTS: dict[tuple[str, float], str] = {}
+
+
+def data_digest(dataset: str, scale: float) -> str:
+    """Digest of the generated tables: names, dtypes and every value."""
+    if (dataset, scale) not in _DIGESTS:
+        digest = hashlib.sha1()
+        for table, columns in sorted(_generate(dataset, scale).items()):
+            for name, array in columns.items():
+                digest.update(f"{table}.{name}:{array.dtype.str}:{len(array)};".encode())
+                if array.dtype.kind == "O":
+                    digest.update("\x1f".join(map(str, array.tolist())).encode())
+                else:
+                    digest.update(array.tobytes())
+        _DIGESTS[(dataset, scale)] = digest.hexdigest()[:16]
+    return _DIGESTS[(dataset, scale)]
+
+
+def batches_digest(batches: dict | None) -> str:
+    """Digest of the append stream: its parameters and the code that makes it."""
+    digest = hashlib.sha1(json.dumps(batches, sort_keys=True).encode())
+    if batches is not None:
+        with open(os.path.join(HERE, "batches.py"), "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()[:16]
+
+
 def db_path(dataset: str, scale: float) -> str:
-    return os.path.join(common.CACHE_DIR, f"{dataset}-sf{scale:g}-data{common.DATA_SEED}.sqlite")
+    return os.path.join(
+        common.CACHE_DIR, f"{dataset}-sf{scale:g}-{data_digest(dataset, scale)}.sqlite"
+    )
 
 
 def _sql_type(array) -> str:
@@ -109,7 +141,7 @@ def _in_memory(path: str) -> sqlite3.Connection:
     return memory
 
 
-def answer_jobs(dataset: str, scale: float, jobs: list[dict], batches: dict | None) -> dict:
+def answer_jobs(path: str, jobs: list[dict], batches: dict | None) -> dict:
     """Run ``jobs`` in order of their data state (the batches applied before).
 
     Returns ``{"answers": key -> rows, "seconds": key -> SQLite time}``.
@@ -117,7 +149,7 @@ def answer_jobs(dataset: str, scale: float, jobs: list[dict], batches: dict | No
     ``batches`` names the append stream: ``{"table", "seed", "rows"}``; a job
     with ``state`` k is answered after the first k batches are inserted.
     """
-    db = _in_memory(db_path(dataset, scale))
+    db = _in_memory(path)
     applied = 0
     answers, seconds = {}, {}
     for job in sorted(jobs, key=lambda job: job.get("state", 0)):
@@ -152,8 +184,10 @@ def answers_for(
     worker processes and added to the cache.  Returns ``(answers, seconds)``
     where ``seconds`` holds SQLite's time for the statements computed now.
     """
-    cache_dir = os.path.join(common.CACHE_DIR, "answers", f"{dataset}-sf{scale:g}")
-    cache_file = os.path.join(cache_dir, f"{cache_name}.json")
+    cache_dir = os.path.join(
+        common.CACHE_DIR, "answers", f"{dataset}-sf{scale:g}-{data_digest(dataset, scale)}"
+    )
+    cache_file = os.path.join(cache_dir, f"{cache_name}-{batches_digest(batches)}.json")
     cached = {}
     if os.path.exists(cache_file):
         with open(cache_file) as handle:
@@ -162,11 +196,11 @@ def answers_for(
     seconds = {}
     if missing:
         os.makedirs(cache_dir, exist_ok=True)
-        build(dataset, scale)
+        path = build(dataset, scale)
         shards = [[] for _ in range(WORKERS)]
         for key, job in missing.items():
             shards[int(key[:8], 16) % WORKERS].append(job)
-        fresh = _answer_in_workers(dataset, scale, shards, batches)
+        fresh = _answer_in_workers(path, shards, batches)
         cached.update(fresh["answers"])
         seconds = fresh["seconds"]
         partial = f"{cache_file}.{os.getpid()}.partial"
@@ -176,7 +210,7 @@ def answers_for(
     return {job["key"]: cached[job["key"]] for job in jobs}, seconds
 
 
-def _answer_in_workers(dataset, scale, shards, batches) -> dict:
+def _answer_in_workers(path, shards, batches) -> dict:
     os.makedirs(common.OUT_DIR, exist_ok=True)
     processes = []
     results = {"answers": {}, "seconds": {}}
@@ -189,7 +223,7 @@ def _answer_in_workers(dataset, scale, shards, batches) -> dict:
                 json.dump({"jobs": shard, "batches": batches}, handle)
             command = [
                 sys.executable, os.path.abspath(__file__), "answer",
-                "--dataset", dataset, "--scale", str(scale),
+                "--db", path,
                 "--jobs", stem + ".in.json", "--out", stem + ".out.json",
             ]
             processes.append((subprocess.Popen(command), stem))
@@ -335,8 +369,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     answer_cmd = sub.add_parser("answer")
-    answer_cmd.add_argument("--dataset", choices=["tpch", "instacart"], required=True)
-    answer_cmd.add_argument("--scale", type=float, required=True)
+    answer_cmd.add_argument("--db", required=True, help="the dataset's SQLite file")
     answer_cmd.add_argument("--jobs", required=True)
     answer_cmd.add_argument("--out", required=True)
     remake_cmd = sub.add_parser("remake")
@@ -348,7 +381,7 @@ def main() -> None:
         with open(args.jobs) as handle:
             spec = json.load(handle)
         started = time.perf_counter()
-        answers = answer_jobs(args.dataset, args.scale, spec["jobs"], spec["batches"])
+        answers = answer_jobs(args.db, spec["jobs"], spec["batches"])
         with open(args.out, "w") as handle:
             json.dump(answers, handle)
         print(

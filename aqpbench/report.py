@@ -126,6 +126,46 @@ def cross_check(summary: dict, stats: dict[str, int]) -> list[str]:
     return problems
 
 
+#: A cache-hit ratio counts as "about 0" below this and "about 1" above 1 minus it.
+NEAR = 0.1
+
+
+def mechanism_problems(workload: str, stats: dict[str, int], appends: int = 0) -> list[str]:
+    """The mechanisms a workload was chosen for that its window did not show.
+
+    ``stats`` are the program's counters over one measured window and
+    ``appends`` the batches appended in it.  ``tpch_adhoc`` must miss the
+    analysis cache (no statement repeats), ``served_prepared`` must hit it,
+    neither may use the shard pool, and ``ingest_sharded`` must dispatch its
+    reconciliation to the pool after every append and republish at least
+    once per append.
+    """
+    hits, misses = stats["analysis_cache_hits"], stats["analysis_cache_misses"]
+    ratio = _ratio(hits, hits + misses)
+    dispatches = stats["parallel_exec_dispatches"]
+    publications = stats["shard_publications"]
+    problems = []
+    if workload == "tpch_adhoc" and ratio > NEAR:
+        problems.append(f"analysis cache hit ratio {ratio:.3f}, expected about 0")
+    if workload == "served_prepared" and ratio < 1.0 - NEAR:
+        problems.append(f"analysis cache hit ratio {ratio:.3f}, expected about 1")
+    if workload != "ingest_sharded" and dispatches:
+        problems.append(f"{dispatches} shard dispatches, expected none")
+    if workload == "ingest_sharded":
+        if appends < 1:
+            problems.append("no append in the window")
+        if dispatches < appends:
+            problems.append(f"{dispatches} shard dispatches for {appends} reconciliations")
+        if publications < appends:
+            problems.append(f"{publications} shard publications for {appends} appends")
+    print(
+        f"mechanism: analysis_cache_hit_ratio={ratio:.3f} shard_dispatches={dispatches} "
+        f"fallbacks={stats['parallel_exec_fallbacks']} publications={publications} "
+        f"appends={appends}"
+    )
+    return [f"mechanism: {problem}" for problem in problems]
+
+
 def emit(correct: bool, attempted: int, failed: int, metrics: dict[str, float], trace: bool):
     """Print every declared metric by name and unit, then the result line."""
     declared = declared_metrics()["per_layer" if trace else "end_to_end"]

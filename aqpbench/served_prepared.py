@@ -2,7 +2,7 @@
 
 The Instacart-like tables are served by ``repro.serve`` in a process of
 their own (``server_main.py``).  Two client connections in two threads run a
-closed loop over seven iq-style templates, each with 32 parameter sets
+closed loop over seven iq-style templates, each with 64 parameter sets
 drawn from the seed, so after the warm-up every statement is cache-hot and
 the wire protocol, server threading, binding and answer construction do
 most of the work.  The templates include joins over the scrambles hashed on
@@ -10,10 +10,16 @@ most of the work.  The templates include joins over the scrambles hashed on
 ``order_dow`` are left out: the planner answers them from the whole
 ``order_products`` table, see ``CHANGES.md``.)
 
-The load generator and the server run on one CPU.  Every query is a
-ping-pong between the two processes; on the two-vCPU reference VM, waking a
-process on the other vCPU made throughput swing twofold from run to run and
-doubled the p95, while the GIL-bound server never uses a second core here.
+The load generator and the server run on one CPU: the benchmark pins itself
+with ``sched_setaffinity`` before it starts the server, which inherits the
+pin.  Every query is two round trips between the two processes, and on the
+two-vCPU reference VM a wake-up that crosses vCPUs is slow and its cost
+varies with the host: with the server on one vCPU and the load generator on
+the other, five runs read 252-436 queries/s at a p95 of 10-31 ms, and 2-s
+windows inside one run 187-505 queries/s; unpinned runs read 135-405.  On
+one CPU, 2-s windows stay within 341-413 queries/s at a p95 of 8-10 ms.
+The price is that client-side work shares the server's core, and a server
+that used more than one process would need this pin revisited.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from aqpbench import common, oracle, report
 
 CLIENTS = 2
-PARAMETER_SETS = 32
+PARAMETER_SETS = 64
 
 _JOIN_ORDERS = "order_products INNER JOIN orders ON order_products.order_id = orders.order_id"
 _JOIN_PRODUCTS = (
@@ -102,10 +108,10 @@ def oracle_jobs(operations) -> list[dict]:
 class _Server:
     """The server process and its line-based control channel."""
 
-    def __init__(self, trace: bool, cpu: int) -> None:
+    def __init__(self, trace: bool) -> None:
         self.process = subprocess.Popen(
             [sys.executable, os.path.join(common.HERE, "server_main.py"),
-             "--trace", str(int(trace)), "--cpu", str(cpu)],
+             "--trace", str(int(trace))],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
         ready = json.loads(self.process.stdout.readline())
@@ -182,9 +188,8 @@ def run(args, started: float, tracer) -> None:
     import repro.client
 
     cpus = os.sched_getaffinity(0)
-    cpu = min(cpus)
-    os.sched_setaffinity(0, {cpu})
-    server = _Server(bool(tracer), cpu)
+    os.sched_setaffinity(0, {min(cpus)})
+    server = _Server(bool(tracer))
     try:
         connections = [
             repro.client.connect("127.0.0.1", server.port, timeout=120) for _ in range(CLIENTS)
@@ -249,12 +254,7 @@ def run(args, started: float, tracer) -> None:
             summary, served["stats"], len(traced), sum(1 for r in traced if r[5]),
             setup=served["setup_summary"], qps_ratio=qps[1] / qps[0],
         )
-    stats = served["stats"]
-    print(
-        f"mechanism: analysis_cache_hits={stats['analysis_cache_hits']} "
-        f"misses={stats['analysis_cache_misses']} "
-        f"shard_dispatches={stats['parallel_exec_dispatches']}"
-    )
+    problems += report.mechanism_problems("served_prepared", served["stats"])
     for problem in problems:
         print(f"check failed: {problem}")
     report.emit(not problems, len(measured), failed, metrics, tracer is not None)

@@ -1,7 +1,6 @@
 """Server process of the ``served_prepared`` workload.
 
-Optionally pins itself to one CPU (``--cpu``), loads the Instacart-like
-tables, builds the scrambles, starts
+Loads the Instacart-like tables, builds the scrambles, starts
 ``repro.serve`` on an ephemeral port and prints one JSON line with the port.
 It then obeys one command per line on standard input, answering each with
 one line on standard output:
@@ -51,10 +50,7 @@ def _answer(session, sql, params) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--cpu", type=int, default=None, help="run on this CPU only")
     args = parser.parse_args()
-    if args.cpu is not None:
-        os.sched_setaffinity(0, {args.cpu})
     common.use_program_source()
     tracer = None
     if args.trace:

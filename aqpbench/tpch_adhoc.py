@@ -338,13 +338,9 @@ def run(args, started: float, tracer) -> None:
             setup=tracing.summarize(builder_spans),
             qps_ratio=qps[1] / qps[0],
         )
-    stats = window_stats[-1]
-    print(
-        f"mechanism: approx_ratio={approximate / len(measured):.3f} "
-        f"analysis_cache_hits={stats['analysis_cache_hits']} "
-        f"misses={stats['analysis_cache_misses']} "
-        f"shard_dispatches={stats['parallel_exec_dispatches']}"
-    )
+    print(f"approx_ratio={approximate / len(measured):.3f}")
+    for stats in window_stats:
+        problems += report.mechanism_problems("tpch_adhoc", stats)
     for problem in problems:
         print(f"check failed: {problem}")
     report.emit(not problems, len(measured), failed, metrics, tracer is not None)
